@@ -7,6 +7,9 @@
 
 use crate::point::{Bounds, Point};
 
+/// One indexed point as a bucket stores it: `(index, position)`.
+pub type BucketEntry = (u32, Point);
+
 /// A grid index over a fixed set of points.
 ///
 /// Most indexed points never move (sensors are static; only robots
@@ -184,51 +187,45 @@ impl GridIndex {
         &self,
         center: Point,
         radius: f64,
-        mut bucket: impl FnMut(&[(u32, Point)], &[(u32, Point)]),
+        mut bucket: impl FnMut(&[BucketEntry], &[BucketEntry]),
     ) {
-        let min_cx = self.col_of(center.x - radius);
-        let max_cx = self.col_of(center.x + radius);
-        let min_cy = self.row_of(center.y - radius);
-        let max_cy = self.row_of(center.y + radius);
-        for cy in min_cy..=max_cy {
-            let row = cy * self.cols;
-            for cx in min_cx..=max_cx {
-                let b = row + cx;
-                let start = self.bucket_start[b] as usize;
-                let end = self.bucket_start[b + 1] as usize;
-                bucket(&self.csr[start..end], &self.movers[b]);
-            }
+        for b in self.buckets_within(center, radius) {
+            let (residents, movers) = self.bucket(b);
+            bucket(residents, movers);
         }
     }
 
-    /// Returns `true` if `pred` holds for any bucket index in the scan
-    /// window of the disc at `center` — the same window
-    /// [`GridIndex::for_each_bucket_within`] visits. Lets callers keep
-    /// per-bucket occupancy tallies and cheaply test a whole query
-    /// window against them.
-    pub fn any_bucket_within(
-        &self,
-        center: Point,
-        radius: f64,
-        mut pred: impl FnMut(usize) -> bool,
-    ) -> bool {
+    /// The linear indices of the buckets overlapping the disc at
+    /// `center` with `radius`, in the order
+    /// [`GridIndex::for_each_bucket_within`] visits them (row-major).
+    /// Lets callers keep per-bucket tallies alongside the index and
+    /// test a query window against them before reading any bucket.
+    pub fn buckets_within(&self, center: Point, radius: f64) -> BucketWindow {
         let min_cx = self.col_of(center.x - radius);
-        let max_cx = self.col_of(center.x + radius);
-        let min_cy = self.row_of(center.y - radius);
-        let max_cy = self.row_of(center.y + radius);
-        for cy in min_cy..=max_cy {
-            let row = cy * self.cols;
-            for cx in min_cx..=max_cx {
-                if pred(row + cx) {
-                    return true;
-                }
-            }
+        BucketWindow {
+            cols: self.cols,
+            min_cx,
+            max_cx: self.col_of(center.x + radius),
+            max_cy: self.row_of(center.y + radius),
+            cx: min_cx,
+            cy: self.row_of(center.y - radius),
         }
-        false
+    }
+
+    /// Bucket `b`'s resident and mover entries as `(index, position)`
+    /// slices, in scan order (see [`GridIndex::for_each_bucket_within`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not below [`GridIndex::bucket_count`].
+    pub fn bucket(&self, b: usize) -> (&[BucketEntry], &[BucketEntry]) {
+        let start = self.bucket_start[b] as usize;
+        let end = self.bucket_start[b + 1] as usize;
+        (&self.csr[start..end], &self.movers[b])
     }
 
     /// The linear bucket index holding `p` (for per-bucket tallies kept
-    /// alongside the index; pairs with [`GridIndex::any_bucket_within`]).
+    /// alongside the index; pairs with [`GridIndex::buckets_within`]).
     pub fn bucket_index(&self, p: Point) -> usize {
         self.bucket_of(p)
     }
@@ -259,6 +256,38 @@ impl GridIndex {
 
     fn bucket_of(&self, p: Point) -> usize {
         self.row_of(p.y) * self.cols + self.col_of(p.x)
+    }
+}
+
+/// Row-major iterator over the bucket indices of one query window; see
+/// [`GridIndex::buckets_within`]. `Copy`, so a caller can scan the same
+/// window twice.
+#[derive(Debug, Clone, Copy)]
+pub struct BucketWindow {
+    cols: usize,
+    min_cx: usize,
+    max_cx: usize,
+    max_cy: usize,
+    cx: usize,
+    cy: usize,
+}
+
+impl Iterator for BucketWindow {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.cy > self.max_cy {
+            return None;
+        }
+        let b = self.cy * self.cols + self.cx;
+        if self.cx == self.max_cx {
+            self.cx = self.min_cx;
+            self.cy += 1;
+        } else {
+            self.cx += 1;
+        }
+        Some(b)
     }
 }
 
@@ -437,6 +466,53 @@ mod tests {
         // A same-bucket move does not surrender the slot.
         idx.update_position(3, p(4.0, 4.0));
         assert_eq!(idx.within(p(2.0, 2.0), 8.0), vec![1, 3, 0]);
+    }
+
+    #[test]
+    fn bucket_window_follows_the_bucket_scan_order() {
+        // `buckets_within` + `bucket` must replay exactly the buckets
+        // `for_each_bucket_within` visits, in its order, and the window
+        // must be every bucket the query's bounding square touches
+        // (clamped to the grid), row-major.
+        let b = Bounds::square(200.0);
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        let pts: Vec<Point> = (0..120)
+            .map(|_| p(rng.gen_range(0.0..=200.0), rng.gen_range(0.0..=200.0)))
+            .collect();
+        let mut idx = GridIndex::build(b, 30.0, &pts);
+        for i in 0..10 {
+            idx.update_position(i, p(rng.gen_range(0.0..=200.0), rng.gen_range(0.0..=200.0)));
+        }
+        let centers = [
+            p(0.0, 0.0),
+            p(200.0, 200.0),
+            p(95.0, 61.0),
+            p(-40.0, 130.0),
+            p(30.0, 30.0),
+        ];
+        for c in centers {
+            for r in [0.0, 29.9, 30.0, 63.0, 500.0] {
+                let mut visited = Vec::new();
+                idx.for_each_bucket_within(c, r, |res, mov| {
+                    visited.push((res.to_vec(), mov.to_vec()))
+                });
+                let window: Vec<usize> = idx.buckets_within(c, r).collect();
+                let replayed: Vec<_> = window
+                    .iter()
+                    .map(|&b| (idx.bucket(b).0.to_vec(), idx.bucket(b).1.to_vec()))
+                    .collect();
+                assert_eq!(replayed, visited, "c={c} r={r}");
+                let cols = idx.cols;
+                let span = |lo: f64, hi: f64, n: usize| {
+                    let cell = |v: f64| ((v / 30.0).floor().max(0.0) as usize).min(n - 1);
+                    cell(lo)..=cell(hi)
+                };
+                let expected: Vec<usize> = span(c.y - r, c.y + r, idx.rows)
+                    .flat_map(|row| span(c.x - r, c.x + r, cols).map(move |col| row * cols + col))
+                    .collect();
+                assert_eq!(window, expected, "c={c} r={r}");
+            }
+        }
     }
 
     #[test]

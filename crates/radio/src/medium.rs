@@ -1,7 +1,7 @@
 //! The shared wireless medium: node positions, classes and reachability.
 
 use robonet_des::NodeId;
-use robonet_geom::spatial::GridIndex;
+use robonet_geom::spatial::{BucketEntry, GridIndex};
 use robonet_geom::{Bounds, Point};
 
 /// The hardware class of a node, which fixes its transmission range.
@@ -174,6 +174,15 @@ impl StaticHearers {
         cache.ids_start.push(cache.ids.len() as u32);
         Some(cache)
     }
+
+    /// The robots among one bucket's `residents` (robots that have never
+    /// left their build-time bucket): residents are sorted by id and the
+    /// robot ids are one block, so they form one contiguous run.
+    fn resident_robots<'a>(&self, residents: &'a [BucketEntry]) -> &'a [BucketEntry] {
+        let from = residents.partition_point(|&(j, _)| (j as usize) < self.robot_lo);
+        let to = residents.partition_point(|&(j, _)| (j as usize) < self.robot_hi);
+        &residents[from..to]
+    }
 }
 
 /// The unit-disk medium: every node within the *sender's* range hears a
@@ -190,10 +199,10 @@ pub struct Medium {
     /// Fast path for static transmitters; dropped (fall back to plain
     /// grid queries) if a non-robot node is ever actually moved.
     static_hearers: Option<StaticHearers>,
-    /// How many robots currently occupy each grid bucket. Most
-    /// transmissions have no robot anywhere in their scan window, and a
-    /// zero across the window lets `for_each_hearer` emit the
-    /// precomputed static list without touching the grid's buckets.
+    /// How many robots currently occupy each grid bucket. Most static
+    /// transmissions have no robot within range; `for_each_hearer` reads
+    /// only the buckets counted here to find out, and then emits the
+    /// precomputed static list without touching the other buckets.
     robot_buckets: Vec<u32>,
 }
 
@@ -318,23 +327,31 @@ impl Medium {
     ///
     /// Static transmitters take the precomputed-adjacency fast path:
     /// their static hearers were distance-filtered at build time, so the
-    /// scan only touches the candidate ids plus the (few) robots — while
-    /// reproducing the plain grid query's visit order exactly.
+    /// scan only touches the candidate ids plus the buckets holding
+    /// robots — while reproducing the plain grid query's visit order
+    /// exactly.
     pub fn for_each_hearer(&self, src: NodeId, mut visit: impl FnMut(NodeId)) {
         let pos = self.position(src);
         let range = self.tx_range(src);
         let si = src.index();
         if let Some(c) = &self.static_hearers {
             if self.classes[si] != NodeClass::Robot {
-                if !self
-                    .index
-                    .any_bucket_within(pos, range, |b| self.robot_buckets[b] > 0)
-                {
-                    // No robot anywhere in the scan window: the hearer
-                    // set is exactly the precomputed static list, in
-                    // scan order, filtered by liveness.
-                    let lo = c.ids_start[si] as usize;
-                    let hi = c.ids_start[si + 1] as usize;
+                let window = self.index.buckets_within(pos, range);
+                let r_sq = range * range;
+                let lo = c.ids_start[si] as usize;
+                let hi = c.ids_start[si + 1] as usize;
+                let robot_in_range = |b: usize| {
+                    let (residents, movers) = self.index.bucket(b);
+                    c.resident_robots(residents)
+                        .iter()
+                        .chain(movers)
+                        .any(|&(_, p)| p.distance_sq(pos) <= r_sq)
+                };
+                let mut probe = window;
+                if !probe.any(|b| self.robot_buckets[b] > 0 && robot_in_range(b)) {
+                    // No robot within range: the hearer set is exactly
+                    // the precomputed static list, in scan order,
+                    // filtered by liveness.
                     for &id in &c.ids[lo..hi] {
                         if self.alive[id as usize] {
                             visit(NodeId::new(id));
@@ -342,20 +359,21 @@ impl Medium {
                     }
                     return;
                 }
-                let r_sq = range * range;
-                let mut ci = c.counts_start[si] as usize;
-                let mut gi = c.ids_start[si] as usize;
-                self.index
-                    .for_each_bucket_within(pos, range, |residents, movers| {
-                        let n = c.counts[ci] as usize;
-                        ci += 1;
-                        let group = &c.ids[gi..gi + n];
-                        gi += n;
-                        // Bucket residents are sorted ascending by id, so the
-                        // true scan order is: static nodes below the robot
-                        // block, robot residents, static nodes above it
-                        // (the manager), then moved robots in arrival order.
-                        let mut g = 0;
+                let counts =
+                    &c.counts[c.counts_start[si] as usize..c.counts_start[si + 1] as usize];
+                let mut gi = lo;
+                for (b, &n) in window.zip(counts) {
+                    let n = n as usize;
+                    let group = &c.ids[gi..gi + n];
+                    gi += n;
+                    let mut g = 0;
+                    if self.robot_buckets[b] > 0 {
+                        // Bucket residents are sorted ascending by id, so
+                        // the true scan order is: static nodes below the
+                        // robot block, robot residents, static nodes above
+                        // it (the manager), then moved robots in arrival
+                        // order.
+                        let (residents, movers) = self.index.bucket(b);
                         while g < n && (group[g] as usize) < c.robot_lo {
                             let id = group[g] as usize;
                             g += 1;
@@ -363,19 +381,9 @@ impl Medium {
                                 visit(NodeId::new(id as u32));
                             }
                         }
-                        if let Some(&(last, _)) = residents.last() {
-                            if (last as usize) >= c.robot_lo {
-                                let p0 =
-                                    residents.partition_point(|&(j, _)| (j as usize) < c.robot_lo);
-                                for &(j, p) in &residents[p0..] {
-                                    let j = j as usize;
-                                    if j >= c.robot_hi {
-                                        break;
-                                    }
-                                    if self.alive[j] && p.distance_sq(pos) <= r_sq {
-                                        visit(NodeId::new(j as u32));
-                                    }
-                                }
+                        for &(j, p) in c.resident_robots(residents) {
+                            if self.alive[j as usize] && p.distance_sq(pos) <= r_sq {
+                                visit(NodeId::new(j));
                             }
                         }
                         while g < n {
@@ -386,12 +394,20 @@ impl Medium {
                             }
                         }
                         for &(j, p) in movers {
-                            let j = j as usize;
-                            if self.alive[j] && p.distance_sq(pos) <= r_sq {
-                                visit(NodeId::new(j as u32));
+                            if self.alive[j as usize] && p.distance_sq(pos) <= r_sq {
+                                visit(NodeId::new(j));
                             }
                         }
-                    });
+                    } else {
+                        // A robot-free bucket holds only its precomputed
+                        // static hearers.
+                        for &id in group {
+                            if self.alive[id as usize] {
+                                visit(NodeId::new(id));
+                            }
+                        }
+                    }
+                }
                 return;
             }
         }
@@ -582,6 +598,104 @@ mod tests {
             m.static_hearers.is_some(),
             "robot motion must not drop the cache"
         );
+    }
+
+    #[test]
+    fn static_hearer_cache_handles_robots_at_the_range_edge() {
+        // Sensors on a 21 m lattice: a robot on a lattice point is
+        // exactly 63 m (d² == r²) from the sensors three steps away
+        // along an axis, and 63 m grid buckets put robots in window
+        // corners at all sorts of distances.
+        let mut positions = Vec::new();
+        let mut classes = Vec::new();
+        for i in 0..20 {
+            for j in 0..20 {
+                positions.push(Point::new(21.0 * i as f64, 21.0 * j as f64));
+                classes.push(NodeClass::Sensor);
+            }
+        }
+        let n_sensors = positions.len();
+        for p in [
+            Point::new(105.0, 105.0),
+            Point::new(300.5, 10.0),
+            Point::new(419.0, 419.0),
+            Point::new(200.0, 200.0),
+            Point::new(50.0, 380.0),
+            Point::new(130.0, 190.0),
+        ] {
+            positions.push(p);
+            classes.push(NodeClass::Robot);
+        }
+        positions.push(Point::new(210.0, 210.0));
+        classes.push(NodeClass::Manager);
+        let mut m = Medium::new(
+            Bounds::square(420.0),
+            RangeTable::default(),
+            &positions,
+            &classes,
+        );
+        let mut plain = uncached(m.clone());
+        let robot = |k: usize| NodeId::new((n_sensors + k) as u32);
+        // Cross-bucket moves turn robots into movers; (50, 380) →
+        // (55, 385) stays in its bucket, so that robot stays a resident.
+        let moves = [
+            (3, Point::new(252.0, 252.0)),
+            (4, Point::new(55.0, 385.0)),
+            (5, Point::new(189.0, 63.0)),
+            (1, Point::new(398.0, 10.0)),
+            (3, Point::new(145.0, 145.0)),
+        ];
+        // Which cases came up, as (robot is a mover, robot sits in a
+        // window corner bucket, exactly at range, out of range).
+        let mut seen = std::collections::HashSet::new();
+        for step in 0..=moves.len() {
+            if step > 0 {
+                let (k, to) = moves[step - 1];
+                m.set_position(robot(k), to);
+                plain.set_position(robot(k), to);
+            }
+            if step == 2 {
+                // A dead robot in range must still be skipped.
+                m.set_alive(robot(0), false);
+                plain.set_alive(robot(0), false);
+            }
+            for i in (0..n_sensors).chain([m.len() - 1]) {
+                let src = NodeId::new(i as u32);
+                assert_eq!(m.hearers(src), plain.hearers(src), "step {step} src {i}");
+                let pos = m.position(src);
+                let r = m.tx_range(src);
+                let r_sq = r * r;
+                let window: Vec<usize> = m.index.buckets_within(pos, r).collect();
+                let corners = [(-r, -r), (r, -r), (-r, r), (r, r)]
+                    .map(|(dx, dy)| m.index.bucket_index(Point::new(pos.x + dx, pos.y + dy)));
+                for k in 0..6 {
+                    let at = m.position(robot(k));
+                    let b = m.index.bucket_index(at);
+                    if !window.contains(&b) {
+                        continue;
+                    }
+                    let mover = m
+                        .index
+                        .bucket(b)
+                        .1
+                        .iter()
+                        .any(|&(j, _)| j == robot(k).as_u32());
+                    let d_sq = at.distance_sq(pos);
+                    seen.insert((mover, corners.contains(&b), d_sq == r_sq, d_sq > r_sq));
+                }
+            }
+        }
+        for mover in [false, true] {
+            assert!(
+                seen.contains(&(mover, false, true, false)),
+                "mover={mover} at the edge"
+            );
+            assert!(
+                seen.contains(&(mover, true, false, true)),
+                "mover={mover} out of range in a corner"
+            );
+        }
+        assert!(m.static_hearers.is_some());
     }
 
     #[test]

@@ -23,4 +23,4 @@ pub mod coverage;
 pub mod failure;
 mod sensor;
 
-pub use sensor::{GuardianEvent, SensorState};
+pub use sensor::{GuardianEvent, RobotTable, SensorState};

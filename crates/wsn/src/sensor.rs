@@ -46,10 +46,10 @@ pub struct SensorState {
     /// location — always the closest robot among [`SensorState::robot_locs`].
     pub myrobot: Option<(NodeId, Point)>,
     /// Last known location of every robot this sensor has heard about
-    /// (from location-update floods and robot hellos), sorted by robot
-    /// id. The dynamic algorithm's `myrobot` is the closest of these,
-    /// so a receding robot is replaced by a previously heard closer one.
-    pub robot_locs: Vec<(NodeId, Point)>,
+    /// (from location-update floods and robot hellos). The dynamic
+    /// algorithm's `myrobot` is the closest of these, so a receding
+    /// robot is replaced by a previously heard closer one.
+    pub robot_locs: RobotTable,
     /// The central manager's identity and location (centralized
     /// algorithm only).
     pub manager: Option<(NodeId, Point)>,
@@ -62,6 +62,98 @@ pub struct SensorState {
     /// Per-guardee report attempt counts (only populated when the fault
     /// layer's bounded-retry protocol is active).
     report_attempts: Vec<(NodeId, u32)>,
+}
+
+/// Last known location per robot, as a dense window indexed by
+/// `robot id − base`.
+///
+/// The robots' ids are one contiguous block, so the flood hot path
+/// ([`SensorState::consider_robot`]) is one slot load and store — the
+/// same layout as [`DedupTable`]. The window spans the lowest to the
+/// highest robot id recorded, so memory is proportional to that span.
+/// Iteration is in ascending id order.
+#[derive(Debug, Clone, Default)]
+pub struct RobotTable {
+    /// Robot id of `slots[0]`.
+    base: u32,
+    /// Per-robot last known location, [`UNKNOWN`] if never heard of (or
+    /// forgotten). A bare `Point` keeps a slot at 16 bytes, where
+    /// `Option<Point>` would take 24.
+    slots: Vec<Point>,
+    /// Number of known slots.
+    known: usize,
+}
+
+/// Marks an empty [`RobotTable`] slot. Robot locations are numbers, so
+/// a NaN `x` never collides with a real one.
+const UNKNOWN: Point = Point::new(f64::NAN, f64::NAN);
+
+fn is_known(slot: &Point) -> bool {
+    !slot.x.is_nan()
+}
+
+impl RobotTable {
+    /// Number of robots with a known location.
+    pub fn len(&self) -> usize {
+        self.known
+    }
+
+    /// Returns `true` if no robot location is known.
+    pub fn is_empty(&self) -> bool {
+        self.known == 0
+    }
+
+    /// Every known `(robot, location)`, in ascending robot id order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Point)> + '_ {
+        let base = self.base;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| is_known(slot))
+            .map(move |(i, &p)| (NodeId::new(base + i as u32), p))
+    }
+
+    /// Records `robot` at `loc`, widening the window if `robot` lies
+    /// outside it.
+    fn insert(&mut self, robot: NodeId, loc: Point) {
+        assert!(is_known(&loc), "robot location must be a number");
+        let id = robot.as_u32();
+        if self.slots.is_empty() {
+            self.base = id;
+        } else if id < self.base {
+            let shift = (self.base - id) as usize;
+            self.slots.splice(0..0, std::iter::repeat_n(UNKNOWN, shift));
+            self.base = id;
+        }
+        let i = (id - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, UNKNOWN);
+        }
+        if !is_known(&self.slots[i]) {
+            self.known += 1;
+        }
+        self.slots[i] = loc;
+    }
+
+    /// Forgets `robot`; returns `true` if its location was known.
+    fn remove(&mut self, robot: NodeId) -> bool {
+        let i = robot.as_u32().wrapping_sub(self.base) as usize;
+        match self.slots.get_mut(i) {
+            Some(slot) if is_known(slot) => {
+                *slot = UNKNOWN;
+                self.known -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Forgets every robot.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.base = 0;
+        self.known = 0;
+    }
 }
 
 impl SensorState {
@@ -78,7 +170,7 @@ impl SensorState {
             myrobot: None,
             manager: None,
             dedup: DedupTable::new(),
-            robot_locs: Vec::new(),
+            robot_locs: RobotTable::default(),
             reported_until: Vec::new(),
             report_attempts: Vec::new(),
         }
@@ -273,10 +365,7 @@ impl SensorState {
     /// exactly the cases in which the sensor must relay the update so
     /// the rest of the cell keeps tracking its manager.
     pub fn consider_robot(&mut self, robot: NodeId, loc: Point) -> bool {
-        match self.robot_locs.binary_search_by_key(&robot, |&(id, _)| id) {
-            Ok(i) => self.robot_locs[i].1 = loc,
-            Err(i) => self.robot_locs.insert(i, (robot, loc)),
-        }
+        self.robot_locs.insert(robot, loc);
         // `myrobot` is maintained incrementally: a full argmin scan is
         // only needed when the current myrobot itself recedes.
         let Some((cur_id, cur_loc)) = self.myrobot else {
@@ -310,10 +399,9 @@ impl SensorState {
     /// known locations and re-evaluates `myrobot` as the closest
     /// remaining robot. Returns `true` if `myrobot` changed.
     pub fn forget_robot(&mut self, robot: NodeId) -> bool {
-        let Ok(i) = self.robot_locs.binary_search_by_key(&robot, |&(id, _)| id) else {
+        if !self.robot_locs.remove(robot) {
             return false;
-        };
-        self.robot_locs.remove(i);
+        }
         if self.myrobot.map(|(id, _)| id) == Some(robot) {
             self.recompute_myrobot();
             true
@@ -326,16 +414,23 @@ impl SensorState {
     /// by id for determinism).
     fn recompute_myrobot(&mut self) {
         let me = self.loc;
-        self.myrobot = self
-            .robot_locs
-            .iter()
-            .min_by(|(a_id, a), (b_id, b)| {
-                me.distance_sq(*a)
-                    .partial_cmp(&me.distance_sq(*b))
+        // The table iterates in ascending id order, so keeping the first
+        // strict minimum breaks distance ties by the lower id.
+        let mut best: Option<((NodeId, Point), f64)> = None;
+        for (robot, loc) in self.robot_locs.iter() {
+            let d = me.distance_sq(loc);
+            let closer = match best {
+                None => true,
+                Some((_, best_d)) => d
+                    .partial_cmp(&best_d)
                     .expect("finite robot location")
-                    .then(a_id.cmp(b_id))
-            })
-            .copied();
+                    .is_lt(),
+            };
+            if closer {
+                best = Some(((robot, loc), d));
+            }
+        }
+        self.myrobot = best.map(|(pick, _)| pick);
     }
 
     /// Forgets everything known about robot locations (testing/failover).

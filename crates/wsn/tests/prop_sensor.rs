@@ -1,5 +1,7 @@
 //! Property tests for sensor protocol state.
 
+use std::collections::BTreeMap;
+
 use robonet_des::check::{self, Gen, Outcome};
 
 use robonet_des::{NodeId, SimDuration, SimTime};
@@ -113,6 +115,82 @@ fn myrobot_is_argmin() {
             let my_d = truth[&my.as_u32()].distance(me);
             for (_, &loc) in truth.iter() {
                 assert!(loc.distance(me) >= my_d - 1e-9);
+            }
+            Outcome::Pass
+        },
+    );
+}
+
+/// A point on a 10 m lattice: small enough that equal distances (from
+/// a lattice sensor) come up often.
+fn lattice_point() -> Gen<Point> {
+    check::pair(check::u32s(0..6), check::u32s(0..6))
+        .map(|&(x, y)| Point::new(f64::from(x) * 10.0, f64::from(y) * 10.0))
+}
+
+/// The closest robot in `known`, distance ties broken by the lower id.
+fn reference_myrobot(me: Point, known: &BTreeMap<u32, Point>) -> Option<(NodeId, Point)> {
+    known
+        .iter()
+        .map(|(&id, &loc)| (me.distance_sq(loc), id, loc))
+        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)))
+        .map(|(_, id, loc)| (NodeId::new(id), loc))
+}
+
+/// Model-based check of the robot table: random sequences of
+/// `consider_robot` / `forget_robot` / `clear_robot_knowledge` /
+/// `reset_for_replacement` on lattice points (so exact distance ties
+/// occur) and ids in any order (so ids below the first one seen occur)
+/// must keep `myrobot`, both return values, `robot_locs.len()` and the
+/// table's contents equal to a `BTreeMap` and its id-tiebroken argmin.
+#[test]
+fn robot_table_matches_btreemap_model() {
+    // Op code: 0..6 consider, 6..8 forget, 8 clear, 9 replacement reset.
+    let op = check::triple(check::u32s(0..10), check::u32s(0..12), lattice_point());
+    check::forall(
+        "robot_table_matches_btreemap_model",
+        &check::pair(lattice_point(), check::vec_of(op, 1..60)),
+        |(me, ops)| {
+            let me = *me;
+            let mut s = SensorState::new(NodeId::new(0), me);
+            let mut known: BTreeMap<u32, Point> = BTreeMap::new();
+            for &(code, r, loc) in ops {
+                let robot = NodeId::new(100 + r);
+                let before = reference_myrobot(me, &known);
+                match code {
+                    0..=5 => {
+                        known.insert(robot.as_u32(), loc);
+                        let after = reference_myrobot(me, &known);
+                        let relevant = match before {
+                            None => true,
+                            Some((cur, _)) => cur == robot || after != before,
+                        };
+                        assert_eq!(s.consider_robot(robot, loc), relevant, "consider {robot}");
+                    }
+                    6 | 7 => {
+                        let was_myrobot = known.remove(&robot.as_u32()).is_some()
+                            && before.map(|(id, _)| id) == Some(robot);
+                        assert_eq!(s.forget_robot(robot), was_myrobot, "forget {robot}");
+                    }
+                    8 => {
+                        known.clear();
+                        s.clear_robot_knowledge();
+                    }
+                    _ => {
+                        known.clear();
+                        s.reset_for_replacement();
+                    }
+                }
+                assert_eq!(s.myrobot, reference_myrobot(me, &known));
+                assert_eq!(s.robot_locs.len(), known.len());
+                assert_eq!(s.robot_locs.is_empty(), known.is_empty());
+                let table: Vec<(u32, Point)> = s
+                    .robot_locs
+                    .iter()
+                    .map(|(id, p)| (id.as_u32(), p))
+                    .collect();
+                let model: Vec<(u32, Point)> = known.iter().map(|(&id, &p)| (id, p)).collect();
+                assert_eq!(table, model, "contents in ascending id order");
             }
             Outcome::Pass
         },

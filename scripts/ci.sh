@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 # is `stage_<name>`, and the label is what the log prints.
 all_stages=(fmt clippy build test golden_trace golden_spans timeline
             replay_figs determinism sweep_determinism golden_figs
-            scenarios scale_smoke bench_smoke)
+            scenarios scale_smoke bench_smoke bench_gate)
 
 stage_label() {
     case "$1" in
@@ -38,6 +38,7 @@ stage_label() {
         scenarios) echo "scenario library gate (golden summaries)" ;;
         scale_smoke) echo "scale smoke (2000 sensors under wall budget)" ;;
         bench_smoke) echo "bench smoke (one iteration per target)" ;;
+        bench_gate) echo "benchmark gate (recorded fingerprints)" ;;
         *) echo "$1" ;;
     esac
 }
@@ -419,6 +420,31 @@ stage_bench_smoke() {
         echo "bench smoke: packet_scale regressed vs tests/golden/BENCH_scale_baseline.json" >&2
         exit 1
     }
+}
+
+stage_bench_gate() {
+    # The benchmark's correctness gate: its fast self-tests, then a short
+    # run of both workloads at seed 1. A run whose outputs differ from
+    # the fingerprints recorded in benchmark/fingerprints.tsv (event
+    # count, summary and registry counters; the sweep CSV) or that fails
+    # any operation prints a result line without `"correct":true` and
+    # `"failed":0`.
+    local bench=(--release --offline --manifest-path benchmark/Cargo.toml)
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+    cargo build -q "${bench[@]}"
+    local workload result
+    for workload in flood_dynamic_5k paper_sweep; do
+        echo "--> $workload"
+        result=$(cargo run -q "${bench[@]}" -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        case "$result" in
+            *'"correct":true,'*'"failed":0,'*) ;;
+            *)
+                echo "benchmark gate failed on $workload: $result" >&2
+                exit 1
+                ;;
+        esac
+    done
 }
 
 if [ -n "$only_stage" ]; then
